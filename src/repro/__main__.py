@@ -188,12 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "entries are evicted beyond it (default 64)")
     serve.add_argument("--workers", type=int, default=2,
                        help="scheduler workers (default 2)")
-    serve.add_argument("--pool", choices=["process", "thread"],
-                       default="process",
-                       help="worker pool: 'process' runs supervised, "
-                            "heartbeat-monitored worker processes that "
-                            "restart on crash/hang (default); 'thread' "
-                            "keeps the in-process PR-4 workers")
     serve.add_argument("--backlog", type=int, default=64,
                        help="max queued jobs before submissions are "
                             "rejected with 429 (default 64)")
@@ -212,21 +206,18 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quota-burst", type=float, default=10.0,
                        help="per-tenant token-bucket burst size "
                             "(default 10; used with --quota-rate)")
-    serve.add_argument("--executor", choices=["inline", "process"],
-                       default="process",
-                       help="per-job execution: 'process' isolates each "
-                            "job and enforces --timeout (default); "
-                            "'inline' runs in the worker thread")
     serve.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="per-job wall-clock budget (process executor)")
+                       help="per-job wall-clock budget; a worker past it "
+                            "is killed and the job requeued")
     serve.add_argument("--retries", type=int, default=1,
                        help="transient-failure retries per job (default 1)")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="on shutdown, finish accepted jobs for up to "
-                            "this long; the rest spill to the cache dir "
-                            "as retryable (default 30)")
+                            "this long; the rest stay in the write-ahead "
+                            "journal as retryable and rerun on the next "
+                            "start (default 30)")
     serve.add_argument("--queue-dir", default=None, metavar="DIR",
                        help="fleet mode: run as a *stateless* frontend "
                             "that appends accepted jobs to this shared "
@@ -507,10 +498,8 @@ def main(argv=None) -> int:
             cache_max_bytes=args.cache_max_mb * 1024 * 1024,
             workers=args.workers,
             max_backlog=args.backlog,
-            executor=args.executor,
             timeout=args.timeout,
             retries=args.retries,
-            pool=args.pool,
             max_job_crashes=args.max_job_crashes,
             heartbeat_timeout=args.heartbeat_timeout,
             quota_rate=args.quota_rate,
@@ -522,7 +511,7 @@ def main(argv=None) -> int:
         print(f"repro serve: listening on http://{host}:{port}", flush=True)
         if service.recovered:
             print(f"  recovered {service.recovered} unfinished job(s) from "
-                  f"the journal/spill of a previous run", flush=True)
+                  f"the journal of a previous run", flush=True)
         if args.queue_dir is not None:
             print(f"  fleet frontend: queue {args.queue_dir}  "
                   f"cache: {cache_dir or 'disabled'}  "
@@ -530,7 +519,7 @@ def main(argv=None) -> int:
         else:
             quota = (f"{args.quota_rate:g}/s" if args.quota_rate is not None
                      else "unlimited")
-            print(f"  cache: {cache_dir or 'disabled'}  pool: {args.pool}  "
+            print(f"  cache: {cache_dir or 'disabled'}  "
                   f"workers: {args.workers}  backlog: {args.backlog}  "
                   f"quota: {quota}", flush=True)
         import signal as _signal
@@ -546,8 +535,9 @@ def main(argv=None) -> int:
         print("repro serve: draining...", flush=True)
         outcome = service.stop(drain=True, timeout=args.drain_timeout)
         if outcome.get("spilled"):
-            print(f"repro serve: spilled {outcome['spilled']} queued job(s) "
-                  f"as retryable (resubmitted on next start)", flush=True)
+            print(f"repro serve: left {outcome['spilled']} job(s) "
+                  f"retryable in the journal (rerun on next start)",
+                  flush=True)
         print("repro serve: bye", flush=True)
         return 0
     if args.command == "work":

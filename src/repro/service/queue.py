@@ -230,9 +230,11 @@ class DurableQueue:
 
     # -- intake (frontend role) -------------------------------------------------------
 
-    def _next_id(self) -> str:
-        self._seq += 1
-        return f"j{self._nonce}-{self._seq:06d}"
+    def next_id(self) -> str:
+        """A fresh job id, unique across writers and restarts."""
+        with self._lock:
+            self._seq += 1
+            return f"j{self._nonce}-{self._seq:06d}"
 
     def append(
         self,
@@ -250,7 +252,7 @@ class DurableQueue:
         exactly like the single-node WAL's accept-before-runnable rule.
         """
         with self._lock:
-            record_id = job_id or self._next_id()
+            record_id = job_id or self.next_id()
             entry = QueueJob(
                 id=record_id,
                 job=job,

@@ -9,7 +9,7 @@ multi-process pool** (:mod:`repro.service.supervisor`) whose workers
 are heartbeat-monitored, restarted on crash or hang, and whose
 in-flight jobs are requeued (or quarantined as poison after
 ``max_job_crashes`` worker losses) instead of being lost.  A
-``pool="thread"`` mode keeps the PR-4 in-process workers for
+``pool="thread"`` mode runs jobs on in-process worker threads, for
 deterministic tests and for callers that inject a ``job_runner``.
 
 Queueing behaviours, in the order a submission meets them:
@@ -42,14 +42,13 @@ Queueing behaviours, in the order a submission meets them:
 Graceful drain (:meth:`JobScheduler.shutdown`) still exists on top of
 the journal: it completes what it can within the timeout and marks the
 rest — including, under the process pool, *in-flight* jobs — as
-``retryable``; the journal (or the legacy JSONL spill file) carries
-them to the next start.  Accepted work is never silently dropped.
+``retryable``; the journal carries them to the next start.  Accepted
+work is never silently dropped.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import threading
 import time
@@ -66,8 +65,13 @@ from repro.service.cache import (
     cache_key,
 )
 from repro.service.journal import JobJournal
-from repro.service.supervisor import ProcessWorkerPool
-from repro.sim.harness import CellResult, SweepJob, run_sweep
+from repro.service.supervisor import POLL_INTERVAL, ProcessWorkerPool
+from repro.sim.harness import (
+    CellResult,
+    SweepJob,
+    _run_job,
+    run_job_with_retries,
+)
 from repro.sim.results import FailedResult
 from repro.telemetry.metrics import CounterSet
 from repro.telemetry.profile import RateMeter
@@ -77,9 +81,6 @@ TERMINAL_STATES = ("done", "failed", "quarantined")
 
 #: Every state a job record can be in.
 JOB_STATES = ("queued", "running", "retryable") + TERMINAL_STATES
-
-#: Supervision loop cadence, seconds (process pool only).
-_SUPERVISE_INTERVAL = 0.02
 
 #: Default worker losses a single job may cause before quarantine.
 DEFAULT_MAX_JOB_CRASHES = 2
@@ -149,7 +150,7 @@ class TokenBucket:
 
 
 def job_to_dict(job: SweepJob, priority: int = 0, tenant: str = "default") -> dict:
-    """Wire/spill form of a job: named workload + named config only."""
+    """Wire/journal form of a job: named workload + named config only."""
     return {
         "workload": job.workload_name,
         "policy": job.policy,
@@ -168,7 +169,7 @@ def job_from_dict(data: dict) -> SweepJob:
     """Rebuild a :class:`SweepJob` from :func:`job_to_dict` output.
 
     Raises ``ValueError``/``KeyError`` for malformed payloads — the
-    HTTP layer maps these to 400, the spill recovery skips them.
+    HTTP layer maps these to 400, journal recovery skips them.
     """
     if not isinstance(data, dict):
         raise ValueError("job payload must be a JSON object")
@@ -261,11 +262,9 @@ class JobScheduler:
         cache: Optional[ResultCache] = None,
         workers: int = 2,
         max_backlog: int = 64,
-        executor: str = "inline",
         timeout: Optional[float] = None,
         retries: int = 1,
         backoff: float = 0.5,
-        spill_path: Optional[Union[str, Path]] = None,
         counters: Optional[CounterSet] = None,
         job_runner: Optional[Callable] = None,
         pool: Optional[str] = None,
@@ -299,14 +298,12 @@ class JobScheduler:
             failure_threshold=breaker_threshold, cooldown=breaker_cooldown
         )
         self.max_backlog = max_backlog
-        self.executor = executor
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.pool = pool
         self.max_job_crashes = max_job_crashes
         self.shed_watermark = shed_watermark
-        self.spill_path = Path(spill_path) if spill_path is not None else None
         self.journal = (
             journal
             if isinstance(journal, JobJournal) or journal is None
@@ -332,7 +329,7 @@ class JobScheduler:
             cache_errors=0,
         )
         self.meter = RateMeter()
-        self._job_runner = job_runner
+        self._job_runner = job_runner if job_runner is not None else _run_job
         self._avg_job_seconds: Optional[float] = None
 
         # Per-tenant token buckets: explicit quotas first, then a
@@ -642,41 +639,23 @@ class JobScheduler:
                     return
                 _, _, job_id = heapq.heappop(self._heap)
                 record = self._records[job_id]
-                if record.state != "queued":  # spilled while queued
+                if record.state != "queued":  # made retryable while queued
                     continue
                 record.state = "running"
                 record.started_at = time.time()
                 self._queued -= 1
                 self._running += 1
                 self.counters.set_gauge("queue_depth", self._queued)
-            try:
-                result = self._execute(record.job)
-            except Exception as exc:  # harness-level failure (bad job, bug)
-                result = FailedResult(
-                    workload=record.job.workload_name,
-                    policy=str(record.job.policy),
-                    config=record.job.config.name,
-                    error_type=type(exc).__name__,
-                    error_message=str(exc),
-                )
+            # The same retry loop the process workers run; it never raises.
+            result = run_job_with_retries(
+                record.job,
+                retries=self.retries,
+                backoff=self.backoff,
+                job_runner=self._job_runner,
+            )
             with self._cond:
                 self._running -= 1
                 self._settle(record, result)
-
-    def _execute(self, job: SweepJob) -> CellResult:
-        """One cell through the PR-1 harness: timeout/retry/backoff reuse."""
-        kwargs: dict = {}
-        if self._job_runner is not None:
-            kwargs["_job_runner"] = self._job_runner
-        report = run_sweep(
-            [job],
-            executor=self.executor,
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
-            **kwargs,
-        )
-        return report.cells[job.key]
 
     # -- execution: supervised process pool ------------------------------------------
 
@@ -700,16 +679,16 @@ class JobScheduler:
                         for event in events:
                             self._handle_pool_event(event)
                 else:
-                    time.sleep(_SUPERVISE_INTERVAL)
+                    time.sleep(POLL_INTERVAL)
             except Exception:  # pragma: no cover - defense in depth
                 self.counters.inc("supervisor_errors")
-                time.sleep(_SUPERVISE_INTERVAL)
+                time.sleep(POLL_INTERVAL)
 
     def _dispatch_locked(self) -> None:
         while self._heap and self._pool.idle_workers() > 0:
             neg, seq, job_id = heapq.heappop(self._heap)
             record = self._records[job_id]
-            if record.state != "queued":  # spilled/quarantined while queued
+            if record.state != "queued":  # retryable/quarantined while queued
                 continue
             if not self._pool.dispatch(job_id, record.job):
                 heapq.heappush(self._heap, (neg, seq, job_id))
@@ -790,7 +769,7 @@ class JobScheduler:
             follower.finished_at = record.finished_at
         self._cond.notify_all()
 
-    # -- shutdown, drain, spill --------------------------------------------------------
+    # -- shutdown and drain ----------------------------------------------------------
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait until no work is queued or running; True if fully drained."""
@@ -811,12 +790,13 @@ class JobScheduler:
         ``drain=True`` completes every accepted job first (bounded by
         ``timeout``).  Whatever is still *queued* when the bound expires
         — or everything queued, with ``drain=False`` — is marked
-        ``retryable`` and persisted (journal, or the legacy spill file).
-        Under the process pool, still-*running* jobs are spilled the
-        same way and their workers killed; under the thread pool,
+        ``retryable``; its journaled accept carries it to the next start.
+        Under the process pool, still-*running* jobs are made retryable
+        the same way and their workers killed; under the thread pool,
         running jobs are always allowed to finish (threads cannot be
-        killed).  Either way an accepted job completes or persists; it
-        is never lost.
+        killed).  With a journal attached an accepted job completes or
+        persists; it is never lost.  The summary's ``spilled`` counts
+        the jobs left retryable.
         """
         with self._cond:
             self._closed = True
@@ -851,7 +831,8 @@ class JobScheduler:
             self._queued = 0
             self.counters.set_gauge("queue_depth", 0)
             self._cond.notify_all()
-        return self._persist_retryable(victims)
+        self.counters.inc("spilled", len(victims))
+        return len(victims)
 
     def _spill_running(self) -> int:
         """Mark in-flight jobs retryable (process pool shutdown: their
@@ -867,24 +848,6 @@ class JobScheduler:
                 record.state = "retryable"
             self._running = 0
             self._cond.notify_all()
-        return self._persist_retryable(victims)
-
-    def _persist_retryable(self, victims: List[JobRecord]) -> int:
-        """Durability for retryable records: the journal already holds
-        their accepts (nothing more to write); without one, append them
-        to the legacy JSONL spill file."""
-        if not victims:
-            return 0
-        if self.journal is None and self.spill_path is not None:
-            self.spill_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.spill_path, "a") as handle:
-                for record in victims:
-                    handle.write(
-                        json.dumps(job_to_dict(
-                            record.job, record.priority, record.tenant
-                        )) + "\n"
-                    )
-                handle.flush()
         self.counters.inc("spilled", len(victims))
         return len(victims)
 
@@ -909,7 +872,7 @@ class JobScheduler:
                 tenant = str(entry.get("tenant") or "default")
             except (ValueError, KeyError, TypeError):
                 skipped += 1
-                self.counters.inc("spill_corrupt_lines")
+                self.counters.inc("journal_corrupt_entries")
                 self.journal.record_done(entry["id"])
                 continue
             try:
@@ -929,39 +892,6 @@ class JobScheduler:
             "torn": torn,
             "skipped": skipped,
         }
-
-    def recover_spilled(self, path: Optional[Union[str, Path]] = None) -> List[JobRecord]:
-        """Resubmit every retryable job persisted by a previous shutdown
-        into the legacy JSONL spill file (pre-journal deployments).
-
-        The spill file is consumed (deleted) on success; corrupt lines
-        are skipped and counted, mirroring the harness checkpoint
-        loader's torn-write tolerance.
-        """
-        path = Path(path) if path is not None else self.spill_path
-        if path is None or not path.exists():
-            return []
-        records: List[JobRecord] = []
-        with open(path, "r") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    job = job_from_dict(payload)
-                    priority = int(payload.get("priority") or 0)
-                    tenant = str(payload.get("tenant") or "default")
-                except (ValueError, KeyError, TypeError):
-                    self.counters.inc("spill_corrupt_lines")
-                    continue
-                records.append(
-                    self.submit(job, priority=priority, tenant=tenant,
-                                _internal=True)
-                )
-        path.unlink()
-        self.counters.inc("recovered", len(records))
-        return records
 
     # -- introspection ---------------------------------------------------------------
 

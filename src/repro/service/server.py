@@ -226,13 +226,10 @@ class ReproService:
         cache_max_bytes: int = DEFAULT_MAX_BYTES,
         workers: int = 2,
         max_backlog: int = 64,
-        executor: str = "inline",
         timeout: Optional[float] = None,
         retries: int = 1,
         backoff: float = 0.5,
-        spill_path: Optional[Union[str, Path]] = None,
         job_runner=None,
-        pool: Optional[str] = None,
         journal_path: Optional[Union[str, Path]] = None,
         max_job_crashes: int = 2,
         heartbeat_timeout: float = 10.0,
@@ -267,9 +264,9 @@ class ReproService:
         else:
             self._init_single_node(
                 cache_dir=cache_dir, workers=workers,
-                max_backlog=max_backlog, executor=executor, timeout=timeout,
-                retries=retries, backoff=backoff, spill_path=spill_path,
-                job_runner=job_runner, pool=pool, journal_path=journal_path,
+                max_backlog=max_backlog, timeout=timeout,
+                retries=retries, backoff=backoff,
+                job_runner=job_runner, journal_path=journal_path,
                 max_job_crashes=max_job_crashes,
                 heartbeat_timeout=heartbeat_timeout, quota_rate=quota_rate,
                 quota_burst=quota_burst, quotas=quotas,
@@ -323,14 +320,11 @@ class ReproService:
                 pass
             self._hb_stop.wait(interval)
 
-    def _init_single_node(self, cache_dir, workers, max_backlog, executor,
-                          timeout, retries, backoff, spill_path, job_runner,
-                          pool, journal_path, max_job_crashes,
-                          heartbeat_timeout, quota_rate, quota_burst, quotas,
-                          shed_watermark, breaker_threshold,
-                          breaker_cooldown) -> None:
-        if spill_path is None and cache_dir is not None:
-            spill_path = Path(cache_dir) / "pending-jobs.jsonl"
+    def _init_single_node(self, cache_dir, workers, max_backlog, timeout,
+                          retries, backoff, job_runner, journal_path,
+                          max_job_crashes, heartbeat_timeout, quota_rate,
+                          quota_burst, quotas, shed_watermark,
+                          breaker_threshold, breaker_cooldown) -> None:
         if journal_path is None and cache_dir is not None:
             journal_path = Path(cache_dir) / "jobs.wal"
         self.journal = (
@@ -340,13 +334,10 @@ class ReproService:
             cache=self.cache,
             workers=workers,
             max_backlog=max_backlog,
-            executor=executor,
             timeout=timeout,
             retries=retries,
             backoff=backoff,
-            spill_path=spill_path,
             job_runner=job_runner,
-            pool=pool,
             journal=self.journal,
             max_job_crashes=max_job_crashes,
             heartbeat_timeout=heartbeat_timeout,
@@ -358,13 +349,9 @@ class ReproService:
             breaker_cooldown=breaker_cooldown,
         )
         # Recovery before the first request lands: the WAL carries every
-        # accepted-but-unfinished job across a *hard* crash; the legacy
-        # JSONL spill file carries graceful-drain leftovers from
-        # pre-journal deployments.
+        # accepted-but-unfinished job across a hard crash or a drain.
         self.recovery = self.scheduler.recover_journal()
-        self.recovered = self.recovery["recovered"] + len(
-            self.scheduler.recover_spilled()
-        )
+        self.recovered = self.recovery["recovered"]
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -395,8 +382,8 @@ class ReproService:
         """Stop the HTTP listener, then shut the scheduler down.
 
         The listener closes first so no request can be accepted after
-        the scheduler stops admissions; then the scheduler completes or
-        spills the backlog (see :meth:`JobScheduler.shutdown`).
+        the scheduler stops admissions; then the scheduler completes the
+        backlog or leaves it retryable (see :meth:`JobScheduler.shutdown`).
         """
         self.httpd.shutdown()
         self.httpd.server_close()
@@ -450,12 +437,12 @@ class ReproService:
                     f"retry once the fleet drains",
                     retry_after=5.0,
                 )
-            entry = self.queue.append(
-                job_to_dict(job, priority, tenant),
-                priority=priority, tenant=tenant, token=token, key=key,
-            )
-            # Warm-cache fast path — committed under the new id so *any*
+            # Warm-cache fast path — committed under a fresh id so *any*
             # frontend can serve the result (frontends stay stateless).
+            # The envelope lands before the intake record: a node's scan
+            # reads segments before results, so it never sees this job
+            # unsettled and cannot settle it from a committed twin first.
+            job_id = None
             if key is not None and self.cache is not None:
                 try:
                     hit = self.cache.get(key)
@@ -463,10 +450,16 @@ class ReproService:
                     hit = None
                 if hit is not None:
                     self.counters.inc("cache_hits")
+                    job_id = self.queue.next_id()
                     self.queue.commit_unclaimed(
-                        entry.id, hit.to_dict(), state="done", key=key,
+                        job_id, hit.to_dict(), state="done", key=key,
                         cached=True,
                     )
+            entry = self.queue.append(
+                job_to_dict(job, priority, tenant),
+                priority=priority, tenant=tenant, token=token, key=key,
+                job_id=job_id,
+            )
             return self._queue_record(entry.id, include_result=False)
 
     # -- lookups (both modes) --------------------------------------------------------

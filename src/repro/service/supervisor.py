@@ -20,19 +20,19 @@ Each worker:
   pipe message, so it can never interleave with a result send.)
 
 The supervisor (:meth:`ProcessWorkerPool.poll`, driven by the
-scheduler's supervision loop) detects three failure shapes and turns
-each into a structured event instead of an exception:
+scheduler's supervision loop, a worker node's step loop, or a process
+sweep in :func:`repro.sim.harness.run_sweep`) detects three failure
+shapes and turns each into a structured event instead of an exception:
 
 * ``WorkerCrashed`` — the process died (SIGKILL, segfault, OOM) without
   reporting a result;
 * ``WorkerHung`` — the heartbeat went stale past ``heartbeat_timeout``;
   the worker is SIGKILLed;
 * ``JobTimeout`` — the in-flight job exceeded ``job_timeout`` seconds;
-  the worker is SIGKILLed (same enforcement the PR-1 process executor
-  applies per job).
+  the worker is SIGKILLed.
 
 In every case the dead worker is **restarted** immediately (the pool
-never shrinks) and the scheduler decides the in-flight job's fate:
+never shrinks) and the pool's caller decides the in-flight job's fate:
 requeue it, or — after ``max_job_crashes`` worker losses — quarantine
 it as a poison job rather than crash-looping the fleet forever.
 """
@@ -65,8 +65,12 @@ DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 #: Worker-loss kinds the pool reports (``error_type`` on the failure).
 WORKER_LOSS_KINDS = ("WorkerCrashed", "WorkerHung", "JobTimeout")
 
+#: Sleep between :meth:`ProcessWorkerPool.poll` passes that found
+#: nothing, for the loops that drive a pool (scheduler, sweeps), seconds.
+POLL_INTERVAL = 0.02
 
-def _pool_worker_main(
+
+def _run_pool_worker(
     conn,
     heartbeat,
     heartbeat_interval: float,
@@ -204,7 +208,7 @@ class ProcessWorkerPool:
         heartbeat = self._ctx.Value("d", time.monotonic())
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
-            target=_pool_worker_main,
+            target=_run_pool_worker,
             args=(
                 child_conn,
                 heartbeat,

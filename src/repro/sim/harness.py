@@ -8,18 +8,21 @@ inversion: detect, correct, and keep issuing.  This module runs
 * an ``"inline"`` executor — sequential, in-process, with a shared trace
   cache so every policy of a workload sees the identical instruction
   stream (the :func:`repro.sim.runner.run_policies` fast path), or
-* a ``"process"`` executor — one isolated worker process per attempt,
-  with a per-job wall-clock ``timeout`` after which the worker is killed;
-  a worker that segfaults or is OOM-killed is detected by its exit code.
+* a ``"process"`` executor — the cells run on a
+  :class:`~repro.service.supervisor.ProcessWorkerPool` of long-lived,
+  heartbeat-monitored worker processes.  A worker that dies (segfault,
+  OOM kill) is reported as ``WorkerCrashed``, one that stops beating
+  (SIGSTOP, deadlock) as ``WorkerHung``, and one whose cell outlives the
+  per-job wall-clock ``timeout`` as ``JobTimeout``; the pool kills and
+  replaces the worker in every case.
 
 Failures are data, not crashes: a cell that exhausts its retries becomes
 a :class:`~repro.sim.results.FailedResult` carrying the exception class,
 traceback, attempt count, and the partial
 :class:`~repro.cpu.stats.PipelineStats` that divergence/invariant errors
 attach — so a sweep always returns a complete per-cell results map.
-Transient failures (divergence under a tight cycle budget, a timed-out
-or crashed worker) are retried up to ``retries`` times with exponential
-backoff.
+Transient failures (divergence under a tight cycle budget, a lost
+worker) are retried up to ``retries`` times with exponential backoff.
 
 With ``checkpoint=<path>``, every finished cell is appended to a
 JSON-lines file as it completes; re-running the same sweep with
@@ -31,7 +34,6 @@ A torn final line (the sweep was killed mid-write) is skipped, not fatal.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -67,21 +69,11 @@ from repro.verify.snapshot import write_bytes_atomic
 
 CellResult = Union[SimResult, FailedResult]
 
-#: Exception class names retried by default: these depend on the cycle
-#: budget, wall-clock budget, or the health of one worker process, so a
-#: clean re-run (possibly after backoff) can succeed.
-TRANSIENT_ERRORS = ("SimulationDiverged", "JobTimeout", "WorkerCrashed")
-
-#: Poll interval of the process-executor scheduling loop, seconds.
-_POLL_INTERVAL = 0.02
-
-
-class JobTimeout(RuntimeError):
-    """A worker exceeded its wall-clock budget and was killed."""
-
-
-class WorkerCrashed(RuntimeError):
-    """A worker process died without reporting a result (signal/OOM)."""
+#: Error types retried by default: these depend on the cycle budget,
+#: wall-clock budget, or the health of one worker process, so a clean
+#: re-run (possibly after backoff) can succeed.
+TRANSIENT_ERRORS = ("SimulationDiverged", "JobTimeout", "WorkerCrashed",
+                    "WorkerHung")
 
 
 class SweepFailed(RuntimeError):
@@ -267,24 +259,6 @@ def _error_info(exc: BaseException) -> dict:
     }
 
 
-def _worker_main(
-    job: SweepJob,
-    conn,
-    snapshot_dir: Optional[Path] = None,
-    telemetry_dir: Optional[Path] = None,
-) -> None:
-    """Process-executor worker: run one cell, report over the pipe."""
-    try:
-        result = _run_job(
-            job, snapshot_dir=snapshot_dir, telemetry_dir=telemetry_dir
-        )
-        conn.send(("ok", result))
-    except BaseException as exc:  # report everything, even SystemExit
-        conn.send(("error", _error_info(exc)))
-    finally:
-        conn.close()
-
-
 def _failure_from_info(job: SweepJob, info: dict, attempts: int) -> FailedResult:
     return FailedResult(
         workload=job.workload_name,
@@ -460,25 +434,6 @@ class SweepReport:
 # -- the sweep loop -----------------------------------------------------------------
 
 
-@dataclass
-class _Running:
-    """Parent-side handle on one in-flight worker attempt."""
-
-    job: SweepJob
-    attempt: int
-    proc: multiprocessing.Process
-    conn: object
-    deadline: Optional[float]
-
-
-def _terminate(proc: multiprocessing.Process) -> None:
-    proc.terminate()
-    proc.join(timeout=2.0)
-    if proc.is_alive():  # pragma: no cover - stubborn worker
-        proc.kill()
-        proc.join(timeout=2.0)
-
-
 def run_sweep(
     jobs: Sequence[SweepJob],
     *,
@@ -500,11 +455,12 @@ def run_sweep(
 ) -> SweepReport:
     """Run every job; always returns a complete per-cell results map.
 
-    ``executor="process"`` (the default) runs up to ``max_workers``
-    isolated worker processes with per-job wall-clock ``timeout``;
-    ``executor="inline"`` runs sequentially in-process (no timeout
-    enforcement, but retries/backoff/checkpointing still apply) — the
-    right choice for small sweeps and deterministic tests.
+    ``executor="process"`` (the default) runs the cells on a supervised
+    pool of up to ``max_workers`` worker processes with per-job
+    wall-clock ``timeout``; ``executor="inline"`` runs sequentially
+    in-process (no timeout enforcement, but retries/backoff/
+    checkpointing still apply) — the right choice for small sweeps and
+    deterministic tests.
 
     Exceptions whose class name is in ``transient`` are retried up to
     ``retries`` extra times, waiting ``backoff * 2**(attempt-1)`` seconds
@@ -652,17 +608,16 @@ def run_sweep(
                     note_retry,
                 )
             else:
-                _run_processes(
+                _run_on_pool(
                     todo,
                     finish,
-                    max_workers=max_workers,
-                    timeout=timeout,
-                    retries=retries,
-                    backoff=backoff,
-                    transient=transient,
-                    snapshot_dir=snapshot_dir,
-                    telemetry_dir=tel_dir,
-                    note_retry=note_retry,
+                    max_workers,
+                    timeout,
+                    retries,
+                    backoff,
+                    transient,
+                    _job_runner,
+                    note_retry,
                 )
         except KeyboardInterrupt:
             report.interrupted = True
@@ -694,12 +649,10 @@ def run_job_with_retries(
 ) -> CellResult:
     """One cell through the inline retry/backoff loop; never raises.
 
-    The single-job face of the harness, for callers that own their own
-    process isolation — the service worker pool
-    (:mod:`repro.service.supervisor`) forks long-lived workers and runs
-    each dispatched job through this, so transient failures retry
-    *inside* the worker while crashes and hangs are the supervisor's
-    problem.  Always returns a :class:`CellResult`; the live exception a
+    The single-job face of the harness: every pool worker
+    (:mod:`repro.service.supervisor`) and every scheduler thread runs
+    its jobs through this, so transient failures retry where the job
+    runs while crashes and hangs are the supervisor's problem.  Always returns a :class:`CellResult`; the live exception a
     :class:`~repro.sim.results.FailedResult` carries in inline mode is
     stripped so the result can cross a process pipe.
     """
@@ -756,7 +709,7 @@ def _run_inline(
                 break
 
 
-def _run_processes(
+def _run_on_pool(
     todo: Sequence[SweepJob],
     finish: Callable[[SweepJob, CellResult], None],
     max_workers: Optional[int],
@@ -764,129 +717,71 @@ def _run_processes(
     retries: int,
     backoff: float,
     transient: Sequence[str],
-    snapshot_dir: Optional[Path] = None,
-    telemetry_dir: Optional[Path] = None,
-    note_retry: Optional[Callable[[SweepJob, int, str], None]] = None,
+    job_runner: Callable[..., SimResult],
+    note_retry: Callable[[SweepJob, int, str], None],
 ) -> None:
+    """The process executor: one dispatch per attempt on a supervised
+    :class:`~repro.service.supervisor.ProcessWorkerPool`.
+
+    The pool detects lost workers; the retry rule stays here (the pool
+    runs with ``retries=0``), so a transient failure and a lost worker
+    are retried alike, with backoff, and counted in the report.
+    """
+    # Lazy: the supervisor imports this module at load time.
+    from repro.service.supervisor import POLL_INTERVAL, ProcessWorkerPool
+
+    if not todo:
+        return
     if max_workers is None:
         max_workers = max(1, (os.cpu_count() or 2) - 1)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        ctx = multiprocessing.get_context()
-
+    pool = ProcessWorkerPool(
+        size=min(max_workers, len(todo)),
+        job_runner=job_runner,
+        retries=0,
+        job_timeout=timeout,
+    ).start()
     # (job, attempt, earliest monotonic launch time) — backoff delays the
     # retry of one cell without stalling the rest of the sweep.
     pending: "deque[Tuple[SweepJob, int, float]]" = deque(
         (job, 1, 0.0) for job in todo
     )
-    running: List[_Running] = []
+    attempts: Dict[str, int] = {}  # in-flight job key -> attempt number
 
-    def settle(entry: _Running, info: dict) -> None:
-        running.remove(entry)
-        try:
-            entry.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if (
-            info["error_type"] in transient
-            and entry.attempt <= retries
-        ):
-            delay = backoff * (2 ** (entry.attempt - 1))
-            if note_retry is not None:
-                note_retry(entry.job, entry.attempt + 1, info["error_type"])
-            pending.append((entry.job, entry.attempt + 1, time.monotonic() + delay))
-        else:
-            finish(entry.job, _failure_from_info(entry.job, info, entry.attempt))
+    def settle(job: SweepJob, result: CellResult) -> None:
+        attempt = attempts.pop(job.key)
+        if not result.ok:
+            if result.error_type in transient and attempt <= retries:
+                note_retry(job, attempt + 1, result.error_type)
+                delay = backoff * (2 ** (attempt - 1))
+                pending.append((job, attempt + 1, time.monotonic() + delay))
+                return
+            result.attempts = attempt
+        finish(job, result)
 
     try:
-        while pending or running:
+        while pending or attempts:
             now = time.monotonic()
-            # Launch every ready cell into a free worker slot.
             for _ in range(len(pending)):
-                if len(running) >= max_workers:
-                    break
                 job, attempt, not_before = pending[0]
                 if not_before > now:
                     pending.rotate(-1)
                     continue
+                if not pool.dispatch(job.key, job):
+                    break  # every worker is busy
                 pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(job, child_conn, snapshot_dir, telemetry_dir),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                running.append(
-                    _Running(
-                        job=job,
-                        attempt=attempt,
-                        proc=proc,
-                        conn=parent_conn,
-                        deadline=(now + timeout) if timeout else None,
+                attempts[job.key] = attempt
+            events = pool.poll()
+            for event in events:
+                if event[0] == "result":
+                    _, _, job, result = event
+                else:  # ("lost", job_id, job, kind, message)
+                    _, _, job, kind, message = event
+                    result = _failure_from_info(
+                        job, {"error_type": kind, "error_message": message}, 0
                     )
-                )
-
-            progressed = False
-            for entry in list(running):
-                outcome = None
-                if entry.conn.poll():
-                    try:
-                        outcome = entry.conn.recv()
-                    except EOFError:
-                        outcome = None  # pipe closed without a payload
-                    entry.proc.join()
-                elif not entry.proc.is_alive():
-                    entry.proc.join()
-                elif entry.deadline is not None and time.monotonic() > entry.deadline:
-                    _terminate(entry.proc)
-                    progressed = True
-                    settle(
-                        entry,
-                        {
-                            "error_type": "JobTimeout",
-                            "error_message": (
-                                f"worker exceeded the {timeout:g}s wall-clock "
-                                f"budget (attempt {entry.attempt}) and was killed"
-                            ),
-                            "traceback": "",
-                            "cycles": 0,
-                            "stats": None,
-                        },
-                    )
-                    continue
-                else:
-                    continue  # still running within budget
-
-                progressed = True
-                entry.conn.close()
-                if outcome is None:
-                    settle(
-                        entry,
-                        {
-                            "error_type": "WorkerCrashed",
-                            "error_message": (
-                                f"worker died with exit code "
-                                f"{entry.proc.exitcode} without reporting "
-                                f"a result (attempt {entry.attempt})"
-                            ),
-                            "traceback": "",
-                            "cycles": 0,
-                            "stats": None,
-                        },
-                    )
-                elif outcome[0] == "ok":
-                    running.remove(entry)
-                    finish(entry.job, outcome[1])
-                else:
-                    settle(entry, outcome[1])
-
-            if not progressed and (pending or running):
-                time.sleep(_POLL_INTERVAL)
-    except BaseException:
+                settle(job, result)
+            if not events:
+                time.sleep(POLL_INTERVAL)
+    finally:
         # fail_fast, KeyboardInterrupt, ...: never leak worker processes.
-        for entry in running:
-            _terminate(entry.proc)
-        raise
+        pool.stop(kill_busy=True)

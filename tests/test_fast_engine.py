@@ -160,15 +160,15 @@ class TestGuardModes:
         assert pipeline.iq.guards == "full"
 
     def test_explicit_guards_propagate_to_swque_subqueues(self):
-        pipeline = build_pipeline(policy="swque", guards="off")
+        pipeline = build_pipeline(policy="swque", guards="full")
         iq = pipeline.iq
-        assert iq.guards == "off"
-        assert iq._circ_pc.guards == "off"
-        assert iq._age.guards == "off"
+        assert iq.guards == "full"
+        assert iq._circ_pc.guards == "full"
+        assert iq._age.guards == "full"
 
     def test_guard_mode_does_not_change_results(self):
         digests = set()
-        for guards in ("full", "sampled", "off"):
+        for guards in ("full", "sampled"):
             pipeline = build_pipeline(
                 policy="swque", workload="exchange2", guards=guards
             )

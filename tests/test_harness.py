@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -409,6 +411,37 @@ class TestProcessExecutor:
         assert failure.snapshot_path is not None
         outcome = replay(failure.snapshot_path, cycles=10, trace=False)
         assert outcome.cycles_run == 10  # the artifact restores and steps
+
+    def test_job_runner_runs_in_the_workers_and_a_crash_is_retried(
+        self, tmp_path
+    ):
+        marker = tmp_path / "crashed-once"
+
+        def crash_once(job, _trace_cache=None):
+            # First attempt dies like a segfault; the retry succeeds.
+            if not marker.exists():
+                marker.touch()
+                os._exit(13)
+            return _run_job(job, _trace_cache)
+
+        retried = []
+        job = SweepJob("exchange2", "age", MEDIUM, N)
+        report = run_sweep(
+            [job], executor="process", retries=1, backoff=0,
+            _job_runner=crash_once,
+            on_retry=lambda j, attempt, error_type: retried.append(error_type),
+        )
+        assert report.all_ok
+        assert report.retried == 1
+        assert retried == ["WorkerCrashed"]
+
+    def test_fail_fast_leaves_no_live_workers(self):
+        # The long cell is still running when the diverging one fails.
+        long_job = SweepJob("exchange2", "age", MEDIUM, 20 * N)
+        with pytest.raises(SweepFailed):
+            run_sweep([long_job, diverging_job()], executor="process",
+                      max_workers=2, retries=0, fail_fast=True)
+        assert multiprocessing.active_children() == []
 
 
 class TestRunnersOnTheHarness:

@@ -17,6 +17,7 @@ import pytest
 from repro.config import MEDIUM
 from repro.service import (
     BacklogFull,
+    JobJournal,
     JobScheduler,
     ReproService,
     ResultCache,
@@ -227,11 +228,13 @@ class TestDrainAndSpill:
             assert scheduler.record(record.id).state == "done"
             assert scheduler.record(record.id).result.ok
 
-    def test_drain_timeout_spills_queued_jobs_as_retryable(self, tmp_path):
+    def test_drain_timeout_leaves_queued_jobs_retryable_in_the_journal(
+        self, tmp_path
+    ):
         """Acceptance: what drain cannot finish is persisted, not lost."""
-        spill = tmp_path / "pending.jsonl"
+        wal = tmp_path / "jobs.wal"
         runner = GateRunner()
-        scheduler = JobScheduler(workers=1, spill_path=spill, job_runner=runner)
+        scheduler = JobScheduler(workers=1, journal=wal, job_runner=runner)
         running = scheduler.submit(job())
         assert runner.entered.wait(timeout=30)
         queued = [
@@ -250,43 +253,54 @@ class TestDrainAndSpill:
         shutdown.join(timeout=120)
         assert not shutdown.is_alive()
         assert outcome == {"drained": False, "spilled": 2}
-        # The running job completed; the queued ones are retryable on disk.
+        # The running job completed; the queued ones are retryable, and
+        # their accepts are still in the journal on disk.
         assert scheduler.record(running.id).state == "done"
         for record in queued:
             assert scheduler.record(record.id).state == "retryable"
-        lines = [json.loads(l) for l in spill.read_text().splitlines()]
-        assert {l["policy"] for l in lines} == {"shift", "swque"}
-        assert {l["priority"] for l in lines} == {3, 0}
+        pending, _, _ = JobJournal(wal).recover()
+        assert {p["job"]["policy"] for p in pending} == {"shift", "swque"}
+        assert {p["priority"] for p in pending} == {3, 0}
 
-        # A fresh scheduler picks the spilled jobs back up and runs them.
-        recovered_scheduler = JobScheduler(workers=1, spill_path=spill)
+        # A fresh scheduler on the same journal picks them up and runs them.
+        journal = JobJournal(wal)
+        recovered_scheduler = JobScheduler(
+            workers=1, journal=journal, job_runner=_run_job
+        )
         try:
-            recovered = recovered_scheduler.recover_spilled()
-            assert len(recovered) == 2
-            assert not spill.exists()     # consumed
-            for record in recovered:
-                result = recovered_scheduler.result(
-                    record.id, wait=True, timeout=120
-                )
-                assert result.ok
-            assert recovered_scheduler.metrics()["recovered"] == 2
+            summary = recovered_scheduler.recover_journal()
+            assert summary["recovered"] == 2
+            assert recovered_scheduler.drain(timeout=120)
+            metrics = recovered_scheduler.metrics()
+            assert metrics["completed"] == 2
+            assert metrics["recovered"] == 2
+            assert journal.pending_count() == 0
         finally:
             recovered_scheduler.shutdown()
 
-    def test_corrupt_spill_lines_are_skipped(self, tmp_path):
-        spill = tmp_path / "pending.jsonl"
-        spill.write_text(
-            json.dumps(job_to_dict(job())) + "\n"
-            + '{"workload": "exchange2", "pol\n'        # torn line
-            + json.dumps({"workload": "gcc", "policy": "age"}) + "\n"
+    def test_corrupt_journal_entries_are_skipped(self, tmp_path):
+        wal = tmp_path / "jobs.wal"
+        good = {"op": "accept", "id": "j1", "job": job_to_dict(job())}
+        unknown = {"op": "accept", "id": "j2",
+                   "job": {"workload": "gcc", "policy": "age"}}
+        wal.write_text(
+            json.dumps(good) + "\n"
+            + '{"op": "accept", "id": "j3", "jo\n'    # torn record
+            + json.dumps(unknown) + "\n"
         )
-        runner = GateRunner()
-        runner.release.set()              # no gating needed here
-        scheduler = JobScheduler(workers=1, spill_path=spill)
+        journal = JobJournal(wal)
+        scheduler = JobScheduler(workers=1, journal=journal,
+                                 job_runner=_run_job)
         try:
-            recovered = scheduler.recover_spilled()
-            assert len(recovered) == 1    # torn + unknown-workload skipped
-            assert scheduler.metrics()["spill_corrupt_lines"] == 2
+            with pytest.warns(RuntimeWarning, match="torn"):
+                summary = scheduler.recover_journal()
+            assert summary["recovered"] == 1
+            assert summary["torn"] == 1
+            assert summary["skipped"] == 1    # the unknown workload
+            assert scheduler.metrics()["journal_corrupt_entries"] == 1
+            assert scheduler.drain(timeout=120)
+            assert scheduler.metrics()["completed"] == 1
+            assert journal.pending_count() == 0
         finally:
             scheduler.shutdown()
 

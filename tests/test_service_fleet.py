@@ -25,6 +25,7 @@ from repro.config import MEDIUM
 from repro.service import (
     DurableQueue,
     ReproService,
+    ResultCache,
     ServiceClient,
     ServiceError,
     WorkerNode,
@@ -33,6 +34,7 @@ from repro.service import (
 )
 from repro.sim.harness import SweepJob
 from repro.sim.results import SimResult
+from repro.sim.simulator import simulate
 
 N = 2500
 
@@ -199,6 +201,47 @@ class TestFrontendMode:
             assert excinfo.value.retry_after is not None
         finally:
             service.stop()
+
+
+    def test_cache_hit_admit_is_settled_before_a_node_can_claim_it(
+            self, tmp_path):
+        """A node claiming right after the intake append must find the
+        cache hit already committed, not settle it from its committed
+        twin (which would refuse the frontend's own commit)."""
+        queue_dir, cache_dir = tmp_path / "queue", tmp_path / "cache"
+        spec = job(seed=21)
+        key = queue_key_for(spec)
+        result = simulate(spec.workload, spec.policy,
+                          num_instructions=N, seed=21)
+        ResultCache(cache_dir).put(key, result, spec)
+        # The committed twin: an earlier submission of the same spec.
+        node = DurableQueue(queue_dir, node_id="node", fsync=False)
+        twin = node.append(job_to_dict(spec), key=key)
+        node.commit_unclaimed(twin.id, result.to_dict(), key=key)
+
+        service = ReproService(
+            port=0, queue_dir=queue_dir, cache_dir=cache_dir, fsync=False
+        ).start()
+        try:
+            append = service.queue.append
+
+            def append_then_claim(*args, **kwargs):
+                entry = append(*args, **kwargs)
+                assert node.claim_next() is None
+                return entry
+
+            service.queue.append = append_then_claim
+            record = service.admit(job_to_dict(spec))
+            status = service.status_payload(record["id"])
+        finally:
+            service.stop()
+        duplicates = (
+            service.queue.counters.snapshot().get("duplicate_commits", 0)
+            + node.counters.snapshot().get("duplicate_commits", 0)
+        )
+        assert duplicates == 0
+        assert status["state"] == "done"
+        assert status["cached"] is True
 
 
 class TestClientIdempotencyTokens:
